@@ -26,7 +26,7 @@ three regimes:
 Everything is a deterministic pure function of the recorded samples, so
 an armed run is bit-identical to an unarmed one and repeated analyses of
 the same run produce byte-identical ``manifest["stability"]`` blocks
-(enforced by ``repro stability --smoke``).
+(enforced by ``repro smoke stability``).
 """
 
 from __future__ import annotations

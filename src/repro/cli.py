@@ -18,33 +18,31 @@ Subcommands regenerate each paper artifact:
   trace (``--kinds drop,mark,deliver --out trace.jsonl``)
 * ``bench`` — run the reproducible benchmark suite (micro primitives +
   pinned-seed canonical cells) and write ``BENCH_<stamp>.json``;
-  ``--baseline PATH`` gates regressions (``--quick`` is the CI smoke
-  mode); ``--compare A B`` renders a side-by-side table of two
+  ``--baseline PATH`` gates regressions (``--quick`` runs the
+  fig2-smoke cell only); ``--compare A B`` renders a side-by-side table of two
   committed reports' normalized macro times without running anything
-* ``fluid`` — validate the hybrid fluid/packet fidelity tier
-  (``fidelity="hybrid"`` on a cell config): bit-identity to packet mode
-  where no flow qualifies, pinned RunMetrics tolerances on the bulk
-  pairs cell where the fluid recurrence carries most bytes, and
-  bit-exact determinism with the invariant checkers armed (``--smoke``
-  is the CI mode)
+* ``smoke`` — run one determinism gate (``repro smoke --list`` names
+  them: check, mix, stability, fixedk, flaws, fluid, farm, bench,
+  sweep): pinned cells run plain, rerun and with the invariant checkers
+  armed, fingerprints compared, one verdict line per named check, one
+  ``<gate>_smoke_manifest.json``. Each verb's ``--smoke`` flag (and
+  ``fluid``) is an alias for its gate
 * ``check`` — arm the simulation invariant checkers (packet
   conservation, queue accounting, TCP sequence space, event engine) on
   representative figure cells, verify armed runs are bit-identical to
-  unarmed ones, and fuzz randomized scenarios (``--smoke`` is the CI
-  mode; failing scenarios are shrunk to a minimal repro dict)
+  unarmed ones, and fuzz randomized scenarios (failing scenarios are
+  shrunk to a minimal repro dict)
 * ``stability`` — the stability observatory: sweep one control-loop
   parameter (ECN threshold K via target delay, or the DCTCP gain) with
   steady-state incast probe cells, classify each point as stable /
   limit-cycle / chaotic-irregular, automatically refine the grid near
   regime boundaries, and write the stability map as SVG + JSON
-  (``--smoke`` pins one oscillating and one damped cell for CI)
 * ``fixedk`` — the Fixed-K ECN study: single-threshold RED
   (``min_th == max_th == K``) on the leaf–spine fabric under
   partition-aggregate incast, swept over K × offered load × fan-in ×
   protection mode × transport; prints the FCT-slowdown-vs-K table and
   ASCII K-vs-load regime grids, and writes one regime-map SVG per
-  (variant, protection, fan-in) slice (``--smoke`` replays a pinned
-  8-cell mini-grid bit-for-bit for CI)
+  (variant, protection, fan-in) slice
 * ``serve`` — run the sweep-farm scheduler: a daemonized job-queue
   service (result cache + crash-safe journal + artifact store + N
   worker processes) answering submit/status/results/cancel/watch as
@@ -53,8 +51,7 @@ Subcommands regenerate each paper artifact:
 * ``farm`` — sweep-farm client: submit the target-delay grids to a
   running ``serve`` (``--priority`` jumps the queue, preempting
   lower-priority cells at their next event-loop checkpoint), stream
-  live progress, fetch results, cancel jobs, or run the ``--smoke``
-  CI gate against a throwaway farm
+  live progress, fetch results, or cancel jobs
 * ``cache`` — inspect a content-addressed result cache: list entries
   with label/size/age, ``--stats``, and ``--prune-age HOURS`` /
   ``--keep-grid`` hygiene (corrupt entries and stale ``*.tmp`` files
@@ -62,9 +59,7 @@ Subcommands regenerate each paper artifact:
 * ``flaws`` — the Linux-DCTCP flaws pack: re-run one pinned tiny-buffer
   incast cell with each Misund endpoint flaw (delayed-ACK mark
   coalescing, ECT retransmits, α-freeze across RTO) re-enabled and print
-  the flawed-vs-corrected comparison table (``--smoke`` replays every
-  profile bit-for-bit, checkers armed, and gates on the flawed α
-  exceeding the corrected α)
+  the flawed-vs-corrected comparison table
 
 ``--scale`` shrinks the Terasort dataset for quick looks (1.0 = the 256 MB
 reference configuration; 0.25 runs in roughly a quarter of the time).
@@ -114,6 +109,52 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="dataset scale factor (default 1.0 = 256 MB)")
     p.add_argument("--seed", type=int, default=42, help="experiment seed")
     p.add_argument("--quiet", action="store_true", help="suppress progress")
+
+
+def _add_grid_options(p: argparse.ArgumentParser, limit: bool = True) -> None:
+    """Options of the verbs that run a grid through the sweep runner."""
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="worker processes (default 1 = serial; parallel "
+                        "results are bit-identical)")
+    p.add_argument("--cache-dir", metavar="DIR",
+                   help="persist per-cell results here, keyed by config "
+                        "content")
+    p.add_argument("--resume", action="store_true",
+                   help="skip cells already present in --cache-dir "
+                        "(resume an interrupted run)")
+    if limit:
+        p.add_argument("--limit", type=int, default=None, metavar="N",
+                       help="run only the first N grid cells")
+
+
+def _grid_usage_error(verb: str, args: argparse.Namespace) -> bool:
+    """Report a bad ``_add_grid_options`` value; True when there was one."""
+    if args.jobs < 1:
+        problem = f"--jobs must be >= 1 (got {args.jobs})"
+    elif args.resume and not args.cache_dir:
+        problem = "--resume needs --cache-dir (nothing to resume from)"
+    elif getattr(args, "limit", None) is not None and args.limit < 1:
+        problem = f"--limit must be >= 1 (got {args.limit})"
+    else:
+        return False
+    print(f"{verb}: {problem}", file=sys.stderr)
+    return True
+
+
+def _add_smoke_alias(p: argparse.ArgumentParser, gate: str) -> None:
+    p.add_argument("--smoke", action="store_true",
+                   help=f"run the {gate} smoke gate (`repro smoke {gate}`)")
+
+
+def _checker_names(raw: str) -> str:
+    """``check --checkers`` value: ``all`` names every checker. Resolved
+    only when ``check`` is parsed, so other verbs never import the
+    validation layer."""
+    if raw != "all":
+        return raw
+    from repro.validate import CHECKER_NAMES
+
+    return ",".join(CHECKER_NAMES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,42 +225,19 @@ def build_parser() -> argparse.ArgumentParser:
              "against a resumable on-disk result cache")
     psweep.add_argument("--deep", action="store_true",
                         help="deep-buffer grid (default: shallow)")
-    psweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (default 1 = serial; "
-                             "parallel results are bit-identical)")
-    psweep.add_argument("--cache-dir", metavar="DIR",
-                        help="persist per-cell results here, keyed by "
-                             "config content")
-    psweep.add_argument("--resume", action="store_true",
-                        help="skip cells already present in --cache-dir "
-                             "(resume an interrupted sweep)")
+    _add_grid_options(psweep)
     psweep.add_argument("--manifest", metavar="PATH",
                         help="write the merged sweep manifest as JSON")
-    psweep.add_argument("--limit", type=int, default=None, metavar="N",
-                        help="run only the first N cells (smoke tests)")
     _add_common(psweep)
 
     pmix = sub.add_parser(
         "mix",
         help="mixed-cluster coexistence: Terasort shuffle + "
              "partition-aggregate RPC + background flows per queue scheme")
-    pmix.add_argument("--smoke", action="store_true",
-                      help="CI mode: one tiny coexistence cell, run "
-                           "back-to-back (plain twice, then with the "
-                           "validation checkers armed) and compared "
-                           "bit-for-bit")
-    pmix.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="worker processes (default 1 = serial)")
-    pmix.add_argument("--cache-dir", metavar="DIR",
-                      help="persist per-cell results here, keyed by "
-                           "config content")
-    pmix.add_argument("--resume", action="store_true",
-                      help="skip cells already present in --cache-dir")
+    _add_smoke_alias(pmix, "mix")
+    _add_grid_options(pmix)
     pmix.add_argument("--manifest", metavar="PATH",
-                      help="write the run manifest as JSON (--smoke "
-                           "default: mix_smoke_manifest.json)")
-    pmix.add_argument("--limit", type=int, default=None, metavar="N",
-                      help="run only the first N grid cells")
+                      help="write the run manifest as JSON")
     _add_common(pmix)
 
     pcell = sub.add_parser("cell", help="run one configuration")
@@ -252,21 +270,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="arm the simulation invariant checkers on representative "
              "figure cells (plus a randomized scenario fuzz sweep) and "
              "verify armed runs stay bit-identical")
-    pcheck.add_argument("--smoke", action="store_true",
-                        help="CI mode: fewer cells and a shorter fuzz "
-                             "sweep")
+    _add_smoke_alias(pcheck, "check")
     pcheck.add_argument("--fuzz", type=int, default=None, metavar="N",
-                        help="randomized scenarios to run (default: 50, "
-                             "or 10 with --smoke; 0 disables fuzzing)")
-    pcheck.add_argument("--checkers", default=",".join(
-                            "conservation queues tcp engine".split()),
+                        help="randomized scenarios to run (default: 50; "
+                             "0 disables fuzzing)")
+    pcheck.add_argument("--checkers", default="all", type=_checker_names,
                         help="comma-separated checker subset (default: "
-                             "all four)")
+                             "all)")
     pcheck.add_argument("--no-shrink", action="store_true",
                         help="report failing fuzz scenarios without "
                              "shrinking them")
     pcheck.add_argument("--json", nargs="?", const="-", metavar="PATH",
-                        help="emit the full check report as JSON")
+                        help="emit the full check report as JSON (with "
+                             "--smoke: the gate manifest)")
     pcheck.add_argument("--scale", type=float, default=None,
                         help="dataset scale for the armed cells "
                              "(default 0.03125)")
@@ -281,12 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(stable / limit-cycle / chaotic-irregular), refine the "
              "grid near regime boundaries, and write the stability map "
              "(SVG + JSON)")
-    pstab.add_argument("--smoke", action="store_true",
-                       help="CI mode: classify one pinned oscillating "
-                            "and one pinned damped cell, each run twice "
-                            "plain and once with the validation checkers "
-                            "armed; classifications, stability blocks "
-                            "and run fingerprints must all match")
+    _add_smoke_alias(pstab, "stability")
     pstab.add_argument("--axis", choices=["target-delay", "dctcp-g"],
                        default="target-delay",
                        help="parameter to sweep (target-delay sets the "
@@ -311,13 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     pstab.add_argument("--rounds", type=int, default=3, metavar="N",
                        help="max automatic refinement passes near "
                             "detected regime boundaries (default 3)")
-    pstab.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (default 1 = serial)")
-    pstab.add_argument("--cache-dir", metavar="DIR",
-                       help="persist per-cell results here, keyed by "
-                            "config content")
-    pstab.add_argument("--resume", action="store_true",
-                       help="skip cells already present in --cache-dir")
+    _add_grid_options(pstab, limit=False)
     pstab.add_argument("--svg", metavar="PATH", default="stability_map.svg",
                        help="stability-map SVG path "
                             "(default stability_map.svg)")
@@ -325,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stability-map JSON path "
                             "(default stability_map.json)")
     pstab.add_argument("--manifest", metavar="PATH",
-                       help="--smoke: write the smoke manifest here "
-                            "(default stability_smoke_manifest.json)")
+                       help="--smoke: write the gate manifest here")
     pstab.add_argument("--seed", type=int, default=42, help="probe seed")
     pstab.add_argument("--quiet", action="store_true",
                        help="suppress progress")
@@ -338,12 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
              "x fan-in x protection mode x transport under "
              "partition-aggregate incast; report FCT-slowdown tails, "
              "uplink ACK loss, and K-vs-load regime maps")
-    pfk.add_argument("--smoke", action="store_true",
-                     help="CI mode: a pinned 8-cell mini-grid (2 K values "
-                          "x 2 fan-ins x 2 protection modes), each cell "
-                          "run back-to-back (plain twice, then with the "
-                          "validation checkers armed) and compared "
-                          "bit-for-bit")
+    _add_smoke_alias(pfk, "fixedk")
     pfk.add_argument("--k-values", default=None, metavar="K1,K2,...",
                      help="marking thresholds in packets "
                           "(default 4,8,16,32,64)")
@@ -352,23 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
                           "capacity (default 0.4,0.8)")
     pfk.add_argument("--fanouts", default=None, metavar="N1,N2,...",
                      help="incast fan-ins (default 4,8)")
-    pfk.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker processes (default 1 = serial)")
-    pfk.add_argument("--cache-dir", metavar="DIR",
-                     help="persist per-cell results here, keyed by "
-                          "config content")
-    pfk.add_argument("--resume", action="store_true",
-                     help="skip cells already present in --cache-dir")
-    pfk.add_argument("--limit", type=int, default=None, metavar="N",
-                     help="run only the first N grid cells")
+    _add_grid_options(pfk)
     pfk.add_argument("--svg", metavar="PREFIX", default="fixedk_regime",
                      help="write one K-vs-load regime map SVG per "
                           "(variant, protection, fan-in) slice as "
                           "PREFIX_<slice>.svg (default fixedk_regime; "
                           "empty string disables)")
     pfk.add_argument("--manifest", metavar="PATH",
-                     help="write the run manifest as JSON (--smoke "
-                          "default: fixedk_smoke_manifest.json)")
+                     help="write the run manifest as JSON")
     pfk.add_argument("--seed", type=int, default=42, help="cell seed")
     pfk.add_argument("--quiet", action="store_true",
                      help="suppress progress")
@@ -377,11 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         "flaws",
         help="Linux-DCTCP flaws pack: flawed vs corrected endpoint "
              "fidelity on one pinned tiny-buffer incast cell")
-    pflaws.add_argument("--smoke", action="store_true",
-                        help="CI mode: run every profile back-to-back "
-                             "(plain twice, then checkers armed), compare "
-                             "bit-for-bit and gate on the flawed-vs-fixed "
-                             "α ordering")
+    _add_smoke_alias(pflaws, "flaws")
     pflaws.add_argument("--duration-s", type=float, default=1.0,
                         metavar="S",
                         help="simulated horizon per profile (default 1.0)")
@@ -389,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the comparison rows as JSON to PATH "
                              "(default: stdout)")
     pflaws.add_argument("--manifest", metavar="PATH",
-                        help="write the run manifest as JSON (--smoke "
-                             "default: flaws_smoke_manifest.json)")
+                        help="--smoke: write the gate manifest here")
     pflaws.add_argument("--seed", type=int, default=42, help="cell seed")
     pflaws.add_argument("--quiet", action="store_true",
                         help="suppress progress")
@@ -399,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the reproducible benchmark suite and write BENCH_<stamp>.json")
     pbench.add_argument("--quick", action="store_true",
-                        help="smoke mode: fig2-smoke macro cell only "
-                             "(what CI runs)")
+                        help="fig2-smoke macro cell only (what the "
+                             "bench smoke gate runs)")
     pbench.add_argument("--repeats", type=int, default=None, metavar="N",
                         help="timing samples per workload "
                              "(default: 3 with --quick, else 5)")
@@ -448,16 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     pfarm = sub.add_parser(
         "farm",
         help="sweep-farm client: submit grids to, and inspect, a running "
-             "`repro serve` instance (--smoke runs the self-contained CI "
-             "gate: ephemeral farm, two clients, shared-config dedup, "
-             "streamed progress, cache-served resubmission, clean "
-             "shutdown)")
+             "`repro serve` instance")
     pfarm.add_argument("--socket", metavar="PATH",
                        help="the farm's Unix socket "
                             "(<farm-dir>/farm.sock)")
-    pfarm.add_argument("--smoke", action="store_true",
-                       help="run the CI gate against a throwaway farm "
-                            "(no --socket needed)")
+    _add_smoke_alias(pfarm, "farm")
     pfarm.add_argument("--ping", action="store_true",
                        help="liveness check")
     pfarm.add_argument("--stats", action="store_true",
@@ -518,19 +498,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pcache)
 
     pfluid = sub.add_parser(
-        "fluid",
-        help="validate the hybrid fluid/packet fidelity tier: hybrid runs "
-             "must be bit-identical to packet mode on cells where no flow "
-             "qualifies, match packet RunMetrics within pinned tolerances "
-             "on the bulk pairs cell, and stay deterministic with the "
-             "invariant checkers armed")
+        "fluid", help="run the fluid smoke gate (same as `repro smoke "
+                      "fluid`): the hybrid fidelity tier against packet "
+                      "mode")
     pfluid.add_argument("--smoke", action="store_true",
-                        help="CI mode (currently the only mode; the flag "
-                             "is accepted for symmetry with other verbs)")
+                        help=argparse.SUPPRESS)
     pfluid.add_argument("--manifest", metavar="PATH",
-                        help="write the gate manifest as JSON "
-                             "(default: fluid_smoke_manifest.json)")
+                        help="write the gate manifest here")
     pfluid.add_argument("--quiet", action="store_true",
+                        help="suppress progress")
+
+    psmoke = sub.add_parser(
+        "smoke",
+        help="run one determinism gate: its pinned cells plain, rerun and "
+             "with the invariant checkers armed, fingerprints compared, "
+             "one verdict line per named check")
+    psmoke.add_argument("gate", nargs="?",
+                        help="the gate to run (see --list)")
+    psmoke.add_argument("--list", action="store_true",
+                        help="list the gates and what each pins")
+    psmoke.add_argument("--manifest", metavar="PATH",
+                        help="write the gate manifest here (default "
+                             "<gate>_smoke_manifest.json; '-' = stdout)")
+    psmoke.add_argument("--seed", type=int, default=42, help="cell seed")
+    psmoke.add_argument("--quiet", action="store_true",
                         help="suppress progress")
 
     return parser
@@ -570,172 +561,82 @@ def _emit_json(payload, dest: str) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _run_grid(verb: str, todo, args: argparse.Namespace):
+    """Run ``todo`` (cut to ``--limit``) through the sweep runner with the
+    grid options; returns ``(report, cache)``, or None after reporting an
+    unusable ``--cache-dir``."""
     from repro.errors import ExperimentError
     from repro.experiments.cache import ResultCache
-    from repro.experiments.grids import grid_cells
     from repro.experiments.parallel import run_cells
-    from repro.telemetry.manifest import build_sweep_manifest
     from repro.telemetry.profiler import ProgressReporter
 
-    if args.jobs < 1:
-        print(f"sweep: --jobs must be >= 1 (got {args.jobs})", file=sys.stderr)
-        return 2
-    if args.resume and not args.cache_dir:
-        print("sweep: --resume needs --cache-dir (nothing to resume from)",
-              file=sys.stderr)
-        return 2
-    if args.limit is not None and args.limit < 1:
-        print(f"sweep: --limit must be >= 1 (got {args.limit})",
-              file=sys.stderr)
-        return 2
-
-    todo = grid_cells(args.deep, args.scale, args.seed)
     if args.limit is not None:
         todo = todo[: args.limit]
     try:
         cache = ResultCache(args.cache_dir) if args.cache_dir else None
     except ExperimentError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
+        print(f"{verb}: {exc}", file=sys.stderr)
+        return None
     progress = None if args.quiet else ProgressReporter()
-
     report = run_cells(todo, jobs=args.jobs, cache=cache,
                        resume=args.resume, progress=progress)
+    return report, cache
 
-    print(f"sweep    : {'deep' if args.deep else 'shallow'} buffers, "
-          f"scale {args.scale}, seed {args.seed}")
+
+def _print_grid_summary(report, cache, args: argparse.Namespace) -> None:
     print(f"cells    : {len(report.results)} total — "
           f"{len(report.executed)} executed, {len(report.cached)} cached")
-    print(f"jobs     : {report.jobs}")
     print(f"wall time: {report.wall_s:.1f}s")
     if cache is not None:
         print(f"cache    : {args.cache_dir} ({len(cache)} entries)")
+
+
+def _grid_manifest(report, **fields) -> dict:
+    from repro.telemetry.manifest import build_sweep_manifest
+
+    return build_sweep_manifest(
+        {label: res.manifest for label, res in report.results.items()},
+        jobs=report.jobs, executed=report.executed, cached=report.cached,
+        wall_s=report.wall_s, **fields)
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.grids import grid_cells
+
+    if _grid_usage_error("sweep", args):
+        return 2
+    ran = _run_grid("sweep", grid_cells(args.deep, args.scale, args.seed),
+                    args)
+    if ran is None:
+        return 2
+    report, cache = ran
+    print(f"sweep    : {'deep' if args.deep else 'shallow'} buffers, "
+          f"scale {args.scale}, seed {args.seed}")
+    print(f"jobs     : {report.jobs}")
+    _print_grid_summary(report, cache, args)
     if args.manifest:
-        sweep = build_sweep_manifest(
-            {label: res.manifest for label, res in report.results.items()},
-            deep=args.deep, scale=args.scale, seed=args.seed,
-            jobs=report.jobs, executed=report.executed,
-            cached=report.cached, wall_s=report.wall_s,
-        )
-        return _emit_json(sweep, args.manifest)
+        return _emit_json(_grid_manifest(report, deep=args.deep,
+                                         scale=args.scale, seed=args.seed),
+                          args.manifest)
     return 0
 
 
-#: Smoke-mode dataset scale for ``mix --smoke`` (4 MB shuffle).
-MIX_SMOKE_SCALE = 1.0 / 16.0
-
-
-def _mix_fingerprint(cell) -> dict:
-    """Run digest for a mix cell: metrics digest + per-workload buckets."""
-    from repro.validate.smoke import fingerprint
-
-    return {**fingerprint(cell), "workloads": cell.manifest["workloads"]}
-
-
-def _cmd_mix_smoke(args: argparse.Namespace) -> int:
-    from repro.experiments.mix import MixConfig
-    from repro.validate.smoke import build_suite
-
-    cfg = MixConfig(
-        queue=QueueSetup(kind="red", target_delay_s=us(200)),
-        variant=TcpVariant.ECN,
-        n_hosts=8,
-        n_reducers=4,
-        rpc_fanout=4,
-        rpc_rate_qps=100.0,
-        bg_rate_fps=20.0,
-        seed=args.seed,
-    ).scaled(MIX_SMOKE_SCALE * args.scale)
-
-    t0 = time.time()
-    first = run_cell(cfg)
-    second = run_cell(cfg)
-    armed = run_cell(cfg, checks=build_suite(cfg))
-    fp = _mix_fingerprint(first)
-    identical_plain = fp == _mix_fingerprint(second)
-    identical_armed = fp == _mix_fingerprint(armed)
-    validation = armed.manifest["validation"]
-
-    wl = first.manifest["workloads"]
-    rpc, bg = wl["rpc"], wl["background"]
-    print(f"cell     : {cfg.label()}")
-    print(f"shuffle  : runtime {fmt_time(first.metrics.runtime)}  "
-          f"{wl['shuffle']['flows']} flows")
-    print(f"rpc      : {rpc['queries_completed']} queries  "
-          f"miss rate {rpc['deadline_miss_rate']:.2%}  "
-          f"qct p99 {fmt_time(rpc['qct_s']['p99'])}")
-    print(f"backgrnd : {bg['flows']} flows  "
-          f"slowdown p99 {bg['slowdown']['p99']:.2f}x")
-    print(f"replay   : plain {'identical' if identical_plain else 'DIVERGED'}"
-          f"  armed {'identical' if identical_armed else 'DIVERGED'}")
-    print(f"checkers : {'ok' if validation['ok'] else 'VIOLATIONS'} "
-          f"({validation['violation_count']} violations)")
-    print(f"(wall time {time.time() - t0:.1f}s)")
-
-    manifest_path = args.manifest or "mix_smoke_manifest.json"
-    payload = dict(first.manifest)
-    payload["smoke"] = {
-        "identical_plain_rerun": identical_plain,
-        "identical_armed_rerun": identical_armed,
-        "validation_ok": bool(validation["ok"]),
-    }
-    rc = _emit_json(payload, manifest_path)
-    if rc != 0:
-        return rc
-    ok = identical_plain and identical_armed and bool(validation["ok"])
-    return 0 if ok else 1
-
-
 def _cmd_mix(args: argparse.Namespace) -> int:
-    from repro.errors import ExperimentError
-    from repro.experiments.cache import ResultCache
     from repro.experiments.mix import mix_grid, render_mix_table
-    from repro.experiments.parallel import run_cells
-    from repro.telemetry.manifest import build_sweep_manifest
-    from repro.telemetry.profiler import ProgressReporter
 
-    if args.smoke:
-        return _cmd_mix_smoke(args)
-    if args.jobs < 1:
-        print(f"mix: --jobs must be >= 1 (got {args.jobs})", file=sys.stderr)
+    if _grid_usage_error("mix", args):
         return 2
-    if args.resume and not args.cache_dir:
-        print("mix: --resume needs --cache-dir (nothing to resume from)",
-              file=sys.stderr)
+    ran = _run_grid("mix", mix_grid(args.scale, args.seed), args)
+    if ran is None:
         return 2
-    if args.limit is not None and args.limit < 1:
-        print(f"mix: --limit must be >= 1 (got {args.limit})", file=sys.stderr)
-        return 2
-
-    todo = mix_grid(args.scale, args.seed)
-    if args.limit is not None:
-        todo = todo[: args.limit]
-    try:
-        cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    except ExperimentError as exc:
-        print(f"mix: {exc}", file=sys.stderr)
-        return 2
-    progress = None if args.quiet else ProgressReporter()
-
-    report = run_cells(todo, jobs=args.jobs, cache=cache,
-                       resume=args.resume, progress=progress)
-
+    report, cache = ran
     print(render_mix_table(report.results))
     print()
-    print(f"cells    : {len(report.results)} total — "
-          f"{len(report.executed)} executed, {len(report.cached)} cached")
-    print(f"wall time: {report.wall_s:.1f}s")
-    if cache is not None:
-        print(f"cache    : {args.cache_dir} ({len(cache)} entries)")
+    _print_grid_summary(report, cache, args)
     if args.manifest:
-        sweep = build_sweep_manifest(
-            {label: res.manifest for label, res in report.results.items()},
-            kind_detail="mix", scale=args.scale, seed=args.seed,
-            jobs=report.jobs, executed=report.executed,
-            cached=report.cached, wall_s=report.wall_s,
-        )
-        return _emit_json(sweep, args.manifest)
+        return _emit_json(_grid_manifest(report, kind_detail="mix",
+                                         scale=args.scale, seed=args.seed),
+                          args.manifest)
     return 0
 
 
@@ -744,66 +645,6 @@ _STABILITY_GRIDS = {
     "target-delay": (50.0, 100.0, 200.0, 500.0, 1000.0),
     "dctcp-g": (0.02, 0.0625, 0.25, 0.5),
 }
-
-
-def _cmd_stability_smoke(args: argparse.Namespace) -> int:
-    from repro.analysis.stability import StabilityAnalysis
-    from repro.validate.smoke import (
-        build_suite,
-        fingerprint,
-        stability_smoke_cells,
-    )
-
-    sa = StabilityAnalysis()
-    t0 = time.time()
-    ok = True
-    reports = []
-    for name, expected, cfg in stability_smoke_cells(args.seed):
-        first = run_cell(cfg, analyses=[sa])
-        second = run_cell(cfg, analyses=[sa])
-        armed = run_cell(cfg, checks=build_suite(cfg), analyses=[sa])
-        blocks = [json.dumps(c.manifest["stability"], sort_keys=True)
-                  for c in (first, second, armed)]
-        identical_blocks = blocks[0] == blocks[1] == blocks[2]
-        fp = fingerprint(first)
-        identical_fp = fp == fingerprint(second) == fingerprint(armed)
-        got = first.manifest["stability"]["classification"]
-        validation = armed.manifest["validation"]
-        cell_ok = (identical_blocks and identical_fp and got == expected
-                   and bool(validation["ok"]))
-        ok = ok and cell_ok
-        dom = first.manifest["stability"]["dominant_queue"]
-        print(f"cell {name:<12}: {cfg.label()}")
-        print(f"  regime    : {got} (expected {expected}) "
-              f"{'ok' if got == expected else 'MISMATCH'}")
-        print(f"  dominant  : {dom}")
-        print(f"  replay    : blocks "
-              f"{'identical' if identical_blocks else 'DIVERGED'}  "
-              f"fingerprints "
-              f"{'identical' if identical_fp else 'DIVERGED'}")
-        print(f"  checkers  : {'ok' if validation['ok'] else 'VIOLATIONS'} "
-              f"({validation['violation_count']} violations)")
-        reports.append({
-            "name": name,
-            "label": cfg.label(),
-            "expected": expected,
-            "classification": got,
-            "identical_blocks": identical_blocks,
-            "identical_fingerprints": identical_fp,
-            "validation_ok": bool(validation["ok"]),
-            "stability": first.manifest["stability"],
-        })
-    print(f"stability --smoke: {'OK' if ok else 'FAILED'} "
-          f"(wall time {time.time() - t0:.1f}s)")
-
-    payload = {
-        "schema": "repro.stability_smoke/v1",
-        "ok": ok,
-        "seed": args.seed,
-        "cells": reports,
-    }
-    rc = _emit_json(payload, args.manifest or "stability_smoke_manifest.json")
-    return rc or (0 if ok else 1)
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
@@ -816,15 +657,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     from repro.experiments.probe import StabilityProbeConfig
     from repro.telemetry.profiler import ProgressReporter
 
-    if args.smoke:
-        return _cmd_stability_smoke(args)
-    if args.jobs < 1:
-        print(f"stability: --jobs must be >= 1 (got {args.jobs})",
-              file=sys.stderr)
-        return 2
-    if args.resume and not args.cache_dir:
-        print("stability: --resume needs --cache-dir (nothing to resume "
-              "from)", file=sys.stderr)
+    if _grid_usage_error("stability", args):
         return 2
     if args.rounds < 0:
         print(f"stability: --rounds must be >= 0 (got {args.rounds})",
@@ -877,137 +710,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fixedk_fingerprint(cell) -> dict:
-    """Run digest for a fixedk cell: metrics digest + the fixedk block."""
-    from repro.validate.smoke import fingerprint
-
-    return {**fingerprint(cell), "fixedk": cell.manifest["fixedk"]}
-
-
-def _cmd_fixedk_smoke(args: argparse.Namespace) -> int:
-    from repro.experiments.fixedk import fixedk_smoke_cells
-    from repro.validate.smoke import build_suite
-
-    t0 = time.time()
-    ok = True
-    reports = []
-    for label, cfg in fixedk_smoke_cells(args.seed):
-        first = run_cell(cfg)
-        second = run_cell(cfg)
-        armed = run_cell(cfg, checks=build_suite(cfg))
-        fp = _fixedk_fingerprint(first)
-        identical_plain = fp == _fixedk_fingerprint(second)
-        identical_armed = fp == _fixedk_fingerprint(armed)
-        validation = armed.manifest["validation"]
-        cell_ok = (identical_plain and identical_armed
-                   and bool(validation["ok"]))
-        ok = ok and cell_ok
-
-        fx = first.manifest["fixedk"]
-        rpc, up = fx["rpc"], fx["uplinks"]
-        print(f"cell {label}")
-        print(f"  rpc       : {rpc['queries_completed']} queries  "
-              f"qct p99 {fmt_time(rpc['qct_s']['p99'])}  "
-              f"slowdown p99 {rpc['responses']['slowdown']['p99']:.1f}x")
-        print(f"  uplinks   : ack loss {up['ack_loss_rate']:.2%}  "
-              f"marks {up['marks']}  tail drops {up['drops_tail']}")
-        print(f"  replay    : plain "
-              f"{'identical' if identical_plain else 'DIVERGED'}  armed "
-              f"{'identical' if identical_armed else 'DIVERGED'}")
-        print(f"  checkers  : {'ok' if validation['ok'] else 'VIOLATIONS'} "
-              f"({validation['violation_count']} violations)")
-        reports.append({
-            "label": label,
-            "identical_plain_rerun": identical_plain,
-            "identical_armed_rerun": identical_armed,
-            "validation_ok": bool(validation["ok"]),
-            "fixedk": fx,
-        })
-    print(f"fixedk --smoke: {'OK' if ok else 'FAILED'} "
-          f"(wall time {time.time() - t0:.1f}s)")
-
-    payload = {
-        "schema": "repro.fixedk_smoke/v1",
-        "ok": ok,
-        "seed": args.seed,
-        "cells": reports,
-    }
-    rc = _emit_json(payload, args.manifest or "fixedk_smoke_manifest.json")
-    return rc or (0 if ok else 1)
-
-
-def _cmd_flaws_smoke(args: argparse.Namespace) -> int:
-    from repro.experiments.flaws import (
-        FLAWS_PROFILES,
-        flaws_cell,
-        render_flaws_table,
-        _row,
-    )
-    from repro.validate.smoke import build_suite, fingerprint
-
-    t0 = time.time()
-    ok = True
-    reports = []
-    rows = []
-    for profile in FLAWS_PROFILES:
-        cfg = flaws_cell(profile, seed=args.seed,
-                         duration_s=args.duration_s)
-        first = run_cell(cfg)
-        second = run_cell(cfg)
-        armed = run_cell(cfg, checks=build_suite(cfg))
-        fp = fingerprint(first)
-        identical = fp == fingerprint(second) == fingerprint(armed)
-        validation = armed.manifest["validation"]
-        cell_ok = identical and bool(validation["ok"])
-        ok = ok and cell_ok
-        row = _row(profile, first)
-        rows.append(row)
-        print(f"cell {row['profile']:<14}: {cfg.label()}")
-        print(f"  alpha     : timeavg {row['alpha_timeavg']:.4f}  "
-              f"end {row['alpha_mean']:.4f}")
-        print(f"  replay    : "
-              f"{'identical' if identical else 'DIVERGED'}")
-        print(f"  checkers  : {'ok' if validation['ok'] else 'VIOLATIONS'} "
-              f"({validation['violation_count']} violations)")
-        reports.append({
-            "profile": row["profile"],
-            "label": cfg.label(),
-            "identical_reruns": identical,
-            "validation_ok": bool(validation["ok"]),
-            "row": row,
-        })
-
-    # The pack's raison d'être: the flawed endpoints must overestimate
-    # congestion on the pinned cell (time-averaged α, not the noisy
-    # end-of-run snapshot).
-    base = rows[0]["alpha_timeavg"]
-    inflated = {r["profile"]: r["alpha_timeavg"] > base for r in rows[1:]}
-    alpha_ok = inflated["linux-dctcp"] and inflated["coalesce"]
-    ok = ok and alpha_ok
-    print()
-    print(render_flaws_table(rows))
-    print(f"alpha inflation (flawed > fixed): "
-          f"{'ok' if alpha_ok else 'MISSING'} "
-          f"(linux-dctcp {'>' if inflated['linux-dctcp'] else '<='} fixed, "
-          f"coalesce {'>' if inflated['coalesce'] else '<='} fixed)")
-    print(f"flaws --smoke: {'OK' if ok else 'FAILED'} "
-          f"(wall time {time.time() - t0:.1f}s)")
-
-    payload = {
-        "schema": "repro.flaws_smoke/v1",
-        "ok": ok,
-        "alpha_inflation_ok": alpha_ok,
-        "seed": args.seed,
-        "duration_s": args.duration_s,
-        "cells": reports,
-    }
-    rc = _emit_json(payload, args.manifest or "flaws_smoke_manifest.json")
-    return rc or (0 if ok else 1)
-
-
 def _cmd_flaws(args: argparse.Namespace) -> int:
-    if args.smoke:
-        return _cmd_flaws_smoke(args)
     from repro.experiments.flaws import render_flaws_table, run_flaws
 
     t0 = time.time()
@@ -1034,7 +737,6 @@ def _parse_axis(name: str, raw: str, cast):
 
 def _cmd_fixedk(args: argparse.Namespace) -> int:
     from repro.errors import ConfigError, ExperimentError
-    from repro.experiments.cache import ResultCache
     from repro.experiments.fixedk import (
         DEFAULT_FANOUTS,
         DEFAULT_K_VALUES,
@@ -1045,23 +747,8 @@ def _cmd_fixedk(args: argparse.Namespace) -> int:
         render_fixedk_table,
         render_regime_grid,
     )
-    from repro.experiments.parallel import run_cells
-    from repro.telemetry.manifest import build_sweep_manifest
-    from repro.telemetry.profiler import ProgressReporter
 
-    if args.smoke:
-        return _cmd_fixedk_smoke(args)
-    if args.jobs < 1:
-        print(f"fixedk: --jobs must be >= 1 (got {args.jobs})",
-              file=sys.stderr)
-        return 2
-    if args.resume and not args.cache_dir:
-        print("fixedk: --resume needs --cache-dir (nothing to resume from)",
-              file=sys.stderr)
-        return 2
-    if args.limit is not None and args.limit < 1:
-        print(f"fixedk: --limit must be >= 1 (got {args.limit})",
-              file=sys.stderr)
+    if _grid_usage_error("fixedk", args):
         return 2
 
     k_values = (_parse_axis("k-values", args.k_values, int)
@@ -1079,16 +766,13 @@ def _cmd_fixedk(args: argparse.Namespace) -> int:
                            seeds=(args.seed,), base=base)
         for _label, cfg in todo:
             cfg.validate()
-        if args.limit is not None:
-            todo = todo[: args.limit]
-        cache = ResultCache(args.cache_dir) if args.cache_dir else None
     except (ExperimentError, ConfigError) as exc:
         print(f"fixedk: {exc}", file=sys.stderr)
         return 2
-    progress = None if args.quiet else ProgressReporter()
-
-    report = run_cells(todo, jobs=args.jobs, cache=cache,
-                       resume=args.resume, progress=progress)
+    ran = _run_grid("fixedk", todo, args)
+    if ran is None:
+        return 2
+    report, cache = ran
 
     # Regime maps stamp manifest["stability"] into every cell (cache hits
     # included), so the table below can show the regime column.
@@ -1098,11 +782,7 @@ def _cmd_fixedk(args: argparse.Namespace) -> int:
         print()
         print(render_regime_grid(m))
     print()
-    print(f"cells    : {len(report.results)} total — "
-          f"{len(report.executed)} executed, {len(report.cached)} cached")
-    print(f"wall time: {report.wall_s:.1f}s")
-    if cache is not None:
-        print(f"cache    : {args.cache_dir} ({len(cache)} entries)")
+    _print_grid_summary(report, cache, args)
     if args.svg:
         from repro.plotting import grid_regime_map_to_svg
 
@@ -1117,12 +797,7 @@ def _cmd_fixedk(args: argparse.Namespace) -> int:
                 return 1
             print(f"wrote {path}", file=sys.stderr)
     if args.manifest:
-        sweep = build_sweep_manifest(
-            {label: res.manifest for label, res in report.results.items()},
-            kind_detail="fixedk", seed=args.seed,
-            jobs=report.jobs, executed=report.executed,
-            cached=report.cached, wall_s=report.wall_s,
-        )
+        sweep = _grid_manifest(report, kind_detail="fixedk", seed=args.seed)
         sweep["regime_maps"] = [m.to_dict() for m in maps]
         return _emit_json(sweep, args.manifest)
     return 0
@@ -1253,28 +928,32 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return rc
 
 
-def _cmd_fluid(args: argparse.Namespace) -> int:
-    from repro.experiments.fidelity import fluid_smoke
+def _smoke_gate(args: argparse.Namespace) -> Optional[str]:
+    """The smoke gate a parsed command line names: ``smoke <gate>``, or a
+    verb's ``--smoke`` alias (``fluid`` always is one); None otherwise."""
+    if args.command == "smoke":
+        return args.gate
+    if args.command == "fluid" or getattr(args, "smoke", False):
+        return args.command
+    return None
 
-    progress = None if args.quiet else (
-        lambda msg: print(f"  {msg}", file=sys.stderr))
-    payload = fluid_smoke(progress=progress)
-    ok = payload["ok"]
-    noop_bad = [e["cell"] for e in payload["noop"]
-                if not e["identical"] or e["promotions"]]
-    bulk = payload["bulk"]
-    det = payload["determinism"]
-    print(f"fluid --smoke: {'OK' if ok else 'FAILED'} — "
-          f"{len(payload['noop'])} no-op cells "
-          f"({'all bit-identical' if not noop_bad else 'BAD: ' + ', '.join(noop_bad)}), "
-          f"bulk tolerances {'ok' if bulk['comparison']['ok'] else 'EXCEEDED'} "
-          f"(engaged={bulk['engaged']}, "
-          f"promotions={bulk['fluid']['promotions']}, "
-          f"fluid_bytes={bulk['fluid']['fluid_bytes']}), "
-          f"determinism {'ok' if det['repeat_identical'] and det['armed_identical'] else 'BROKEN'}, "
-          f"checker violations={det['violations']}")
-    rc = _emit_json(payload, args.manifest or "fluid_smoke_manifest.json")
-    return rc or (0 if ok else 1)
+
+def _cmd_smoke(gate: Optional[str], args: argparse.Namespace) -> int:
+    from repro.validate.smoke import GATES, run_gate
+
+    if args.command == "smoke" and args.list:
+        for g in GATES.values():
+            print(f"{g.name:<10} {g.summary}")
+        return 0
+    if gate not in GATES:
+        what = f"unknown gate {gate!r}" if gate else "name a gate"
+        print(f"smoke: {what} (gates: {', '.join(GATES)})", file=sys.stderr)
+        return 2
+    payload = run_gate(gate, seed=getattr(args, "seed", 42), quiet=args.quiet)
+    dest = (args.json if args.command == "check"
+            else getattr(args, "manifest", None))
+    rc = _emit_json(payload, dest or f"{gate}_smoke_manifest.json")
+    return rc or (0 if payload["ok"] else 1)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -1299,14 +978,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 2
 
     scale = args.scale if args.scale is not None else SMOKE_SCALE
-    n_fuzz = args.fuzz if args.fuzz is not None else (10 if args.smoke else 50)
+    n_fuzz = args.fuzz if args.fuzz is not None else 50
     cells = smoke_cells(scale, args.seed)
-    if args.smoke:
-        # CI subset: one RED protection-mode pair plus the other qdiscs —
-        # every queue hot path, half the wall time.
-        keep = {"red-default", "red-ack+syn", "droptail-shallow",
-                "marking", "codel-default"}
-        cells = [(n, c) for n, c in cells if n in keep]
 
     rc = 0
     cell_reports = []
@@ -1443,10 +1116,6 @@ def _cmd_farm(args: argparse.Namespace) -> int:
     from repro.farm.client import FarmClient
     from repro.telemetry.profiler import ProgressReporter
 
-    if args.smoke:
-        from repro.farm.smoke import main as smoke_main
-
-        return smoke_main()
     if not args.socket:
         print("farm: --socket is required (the farm's <farm-dir>/farm.sock)",
               file=sys.stderr)
@@ -1581,6 +1250,9 @@ def main(argv: Optional[list] = None) -> int:
         pass  # non-POSIX platform or non-main thread
     args = build_parser().parse_args(argv)
     progress = None if getattr(args, "quiet", True) else _progress
+    gate = _smoke_gate(args)
+    if gate is not None or args.command == "smoke":
+        return _cmd_smoke(gate, args)
 
     if args.command == "tables":
         print(render_table1())
@@ -1643,8 +1315,6 @@ def main(argv: Optional[list] = None) -> int:
         return _cmd_trace(args)
     if args.command == "bench":
         return _cmd_bench(args)
-    if args.command == "fluid":
-        return _cmd_fluid(args)
     if args.command == "check":
         return _cmd_check(args)
     if args.command == "serve":

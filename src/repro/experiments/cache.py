@@ -194,24 +194,14 @@ class ResultCache:
         mid-write leaves at worst a stale ``*.tmp`` file (collected by
         :meth:`prune`), never a truncated entry that would poison resume.
         """
-        path = self.path_for(result.config)
-        entry = result_to_entry(result)
-        tmp = f"{path}.{os.getpid()}.{next(self._tmp_ids)}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(entry, fh, indent=2)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        self.writes += 1
-        return path
+        return self.put_entry(result_to_entry(result))
 
     def put_entry(self, entry: Dict[str, Any]) -> str:
-        """Store a pre-encoded entry document (farm scheduler path).
+        """Store a pre-encoded entry document (the farm scheduler path,
+        and :meth:`put`'s body).
 
         The document must carry its own ``key`` (as produced by
-        :func:`result_to_entry`); same atomic write discipline as
-        :meth:`put`.
+        :func:`result_to_entry`).
         """
         key = entry.get("key")
         if not key or entry.get("schema") != CACHE_SCHEMA:

@@ -1,4 +1,4 @@
-"""Hybrid-vs-packet fidelity validation (powers ``repro fluid --smoke``).
+"""Hybrid-vs-packet fidelity validation (the ``fluid`` smoke gate).
 
 Three claims make the hybrid tier trustworthy, each checked here:
 
@@ -14,7 +14,7 @@ Three claims make the hybrid tier trustworthy, each checked here:
 3. **Deterministic and observable.** Repeated hybrid runs are
    bit-identical (fingerprint + ``manifest["fluid"]``), and a run with
    every invariant checker armed keeps the same fingerprint with zero
-   violations.
+   violations — the smoke harness checks this on every gate cell.
 
 Tolerances are *pinned*, not adaptive: the bulk cell's hybrid runtime
 currently lands within ~2% of packet mode and mean latency within ~1%;
@@ -26,23 +26,18 @@ and latency by far more than 5%).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.bulkcell import BulkConfig
 from repro.experiments.config import CellResult
-from repro.experiments.fixedk import FixedKConfig, run_fixedk_cell
 from repro.experiments.runner import run_cell
-from repro.validate.smoke import build_suite, fingerprint, smoke_cells
+from repro.validate.smoke import Check, GateRun, fingerprint
 
 __all__ = [
-    "FIDELITY_SCHEMA",
     "BULK_TOLERANCES",
     "EXACT_FIELDS",
     "compare_metrics",
-    "fluid_smoke",
+    "fluid_checks",
 ]
-
-FIDELITY_SCHEMA = "repro.fidelity/v1"
 
 #: Pinned relative tolerances for hybrid-vs-packet RunMetrics on cells
 #: where the fluid tier actually engages. Keys are RunMetrics fields.
@@ -99,81 +94,37 @@ def compare_metrics(packet: CellResult, hybrid: CellResult,
     return {"ok": ok, "fields": fields}
 
 
-def _hybrid(config):
-    return dataclasses.replace(config, fidelity="hybrid")
+def fluid_checks(run: GateRun) -> List[Check]:
+    """The ``fluid`` smoke gate's named assertions (claims 1 and 2).
 
-
-def fluid_smoke(progress: Optional[Callable[[str], None]] = None) -> Dict:
-    """The ``repro fluid --smoke`` CI gate; returns the result payload.
-
-    ``payload["ok"]`` is the gate verdict; the sub-blocks name every
-    check so a red CI run says *which* property broke.
+    ``run`` holds the gate's hybrid cells, already replayed plain,
+    again and armed by the harness (claim 3). Each no-op cell must
+    fingerprint exactly like its packet-mode twin with zero promotions;
+    the ``bulk`` cell must engage the fluid tier and stay within
+    :data:`BULK_TOLERANCES` of packet mode.
     """
-    say = progress if progress is not None else (lambda _msg: None)
-    payload: Dict = {"schema": FIDELITY_SCHEMA, "ok": True}
-
-    # -- claim 1: bit-identical no-op on shared-path / short-flow cells --
-    noop = []
-    cells = dict(smoke_cells())
-    for name in ("red-default", "marking"):
-        cfg = cells[name]
-        say(f"no-op gate: {name} (packet vs hybrid)")
-        fp_p = fingerprint(run_cell(cfg))
-        hy = run_cell(_hybrid(cfg))
-        fl = hy.manifest["fluid"]
-        entry = {
-            "cell": name,
-            "identical": fingerprint(hy) == fp_p,
-            "promotions": fl["promotions"],
-        }
-        noop.append(entry)
-        payload["ok"] &= entry["identical"] and fl["promotions"] == 0
-    fx = FixedKConfig(duration_s=0.1, drain_s=0.1)
-    say(f"no-op gate: {fx.label()} (packet vs hybrid)")
-    fp_p = fingerprint(run_fixedk_cell(fx))
-    hy = run_fixedk_cell(_hybrid(fx))
-    fl = hy.manifest["fluid"]
-    entry = {
-        "cell": fx.label(),
-        "identical": fingerprint(hy) == fp_p,
-        "promotions": fl["promotions"],
-    }
-    noop.append(entry)
-    payload["ok"] &= entry["identical"] and fl["promotions"] == 0
-    payload["noop"] = noop
-
-    # -- claim 2: pinned tolerances on the bulk pairs cell ---------------
-    bulk = BulkConfig()
-    say(f"tolerance gate: {bulk.label()} (packet vs hybrid)")
-    packet_cell = run_cell(bulk)
-    hybrid_cell = run_cell(_hybrid(bulk))
-    fl = hybrid_cell.manifest["fluid"]
-    comparison = compare_metrics(packet_cell, hybrid_cell)
-    engaged = (fl["promotions"] > 0 and fl["fluid_bytes"]
-               > 0.5 * hybrid_cell.metrics.bytes_transferred)
-    payload["bulk"] = {
-        "cell": bulk.label(),
-        "fluid": fl,
-        "engaged": engaged,
-        "comparison": comparison,
-    }
-    payload["ok"] &= comparison["ok"] and engaged
-
-    # -- claim 3: hybrid determinism + armed checkers --------------------
-    say("determinism gate: repeated hybrid runs + armed checkers")
-    hybrid_cfg = _hybrid(bulk)
-    rerun = run_cell(hybrid_cfg)
-    deterministic = (fingerprint(rerun) == fingerprint(hybrid_cell)
-                     and rerun.manifest["fluid"] == fl)
-    suite = build_suite(hybrid_cfg)
-    armed = run_cell(hybrid_cfg, checks=suite)
-    validation = armed.manifest["validation"]
-    armed_identical = fingerprint(armed) == fingerprint(hybrid_cell)
-    payload["determinism"] = {
-        "repeat_identical": deterministic,
-        "armed_identical": armed_identical,
-        "validation_ok": validation["ok"],
-        "violations": validation["violation_count"],
-    }
-    payload["ok"] &= deterministic and armed_identical and validation["ok"]
-    return payload
+    checks: List[Check] = []
+    for r in run.cells:
+        hybrid = r.plain
+        fl = hybrid.manifest["fluid"]
+        packet = run_cell(dataclasses.replace(r.config, fidelity="packet"))
+        if r.name != "bulk":
+            checks.append(Check("noop_identical",
+                                fingerprint(packet) == fingerprint(hybrid),
+                                r.name))
+            checks.append(Check("noop_no_promotions", fl["promotions"] == 0,
+                                r.name, f"{fl['promotions']} promotions"))
+            continue
+        comparison = compare_metrics(packet, hybrid)
+        run.extra["bulk"] = {"cell": r.config.label(), "fluid": fl,
+                             "comparison": comparison}
+        exceeded = [n for n, f in comparison["fields"].items() if not f["ok"]]
+        checks.append(Check("bulk_tolerances", comparison["ok"], r.name,
+                            "exceeded: " + ", ".join(exceeded)
+                            if exceeded else ""))
+        engaged = (fl["promotions"] > 0 and fl["fluid_bytes"]
+                   > 0.5 * hybrid.metrics.bytes_transferred)
+        checks.append(Check("bulk_engaged", engaged, r.name,
+                            f"promotions={fl['promotions']}, "
+                            f"fluid_bytes={fl['fluid_bytes']}"))
+    return checks

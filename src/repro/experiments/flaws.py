@@ -21,7 +21,7 @@ where the flaws diverge from the faithful algorithm.
 Every run flows through :func:`~repro.experiments.probe.run_probe_cell`,
 so results carry full manifests, land in the shared result cache, and
 fingerprint bit-identically for the determinism gate
-(``repro flaws --smoke``).
+(``repro smoke flaws``).
 """
 
 from __future__ import annotations
@@ -97,18 +97,17 @@ def _row(profile: Optional[str], cell: CellResult) -> Dict[str, object]:
 def run_flaws(
     seed: int = 42,
     duration_s: float = 1.0,
-    checks: Optional["ValidationSuite"] = None,  # noqa: F821 - forward ref
 ) -> Tuple[List[CellResult], List[Dict[str, object]]]:
     """Run the whole pack; returns (cell results, comparison rows).
 
-    ``checks`` arms the validation suite on *every* run (the smoke gate
-    does this once per profile to prove armed runs stay bit-identical).
+    Runs are unarmed; the ``flaws`` smoke gate replays every profile
+    with a fresh validation suite per armed run.
     """
     cells: List[CellResult] = []
     rows: List[Dict[str, object]] = []
     for profile in FLAWS_PROFILES:
         cfg = flaws_cell(profile, seed=seed, duration_s=duration_s)
-        cell = run_probe_cell(cfg, checks=checks)
+        cell = run_probe_cell(cfg)
         cells.append(cell)
         rows.append(_row(profile, cell))
     return cells, rows

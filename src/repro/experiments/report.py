@@ -189,7 +189,7 @@ a machine-readable `BENCH_<stamp>.json` (schema `repro.bench/v1`):
 
 ```bash
 repro-hadoop-ecn bench                      # full suite, writes BENCH_<stamp>.json
-repro-hadoop-ecn bench --quick              # CI smoke: fig2-smoke cell only
+repro-hadoop-ecn bench --quick              # fig2-smoke cell only (the bench smoke gate)
 repro-hadoop-ecn bench --baseline benchmarks/BENCH_baseline.json   # regression gate
 ```
 
@@ -245,7 +245,7 @@ twice and fails unless the two run fingerprints match exactly.
 
 ```bash
 repro-hadoop-ecn check            # figure cells + 50 randomized fuzz scenarios
-repro-hadoop-ecn check --smoke    # the CI check-smoke job
+repro-hadoop-ecn smoke check      # the check smoke gate
 ```
 
 The randomized scenario fuzzer behind the second half of `check`

@@ -27,7 +27,7 @@ Modules
 :mod:`repro.farm.client`
     Blocking client library used by the CLI verbs and tests.
 :mod:`repro.farm.smoke`
-    The ``repro farm --smoke`` CI gate.
+    The body of the ``farm`` smoke gate (``repro smoke farm``).
 """
 
 from repro.farm.client import FarmClient

@@ -1,4 +1,4 @@
-"""The ``repro farm --smoke`` CI gate.
+"""The body of the ``farm`` smoke gate (``repro smoke farm``).
 
 Exercises the whole service loop against a throwaway farm directory:
 
@@ -15,15 +15,14 @@ Exercises the whole service loop against a throwaway farm directory:
 5. a clean ``shutdown`` must drain, retire the workers, and remove the
    socket file.
 
-Returns a JSON-safe report; raises nothing — the caller gates on
-``report["ok"]``.
+Returns a JSON-safe report with one boolean per named check; raises
+nothing — the smoke harness turns ``report["checks"]`` into verdicts.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import sys
 import tempfile
 import threading
 import time
@@ -38,9 +37,7 @@ from repro.tcp.endpoint import TcpVariant
 from repro.telemetry.profiler import ProgressReporter
 from repro.units import mb, us
 
-__all__ = ["SMOKE_SCHEMA", "run_smoke"]
-
-SMOKE_SCHEMA = "repro.farm_smoke/v1"
+__all__ = ["run_smoke"]
 
 
 def _tiny(queue: QueueSetup, **kw) -> ExperimentConfig:
@@ -58,8 +55,7 @@ def run_smoke(progress: Optional[Any] = None,
     # Short tempdir: AF_UNIX socket paths are length-limited.
     farm_dir = tempfile.mkdtemp(prefix="farm-smoke-")
     checks: Dict[str, bool] = {}
-    report: Dict[str, Any] = {"schema": SMOKE_SCHEMA, "farm_dir": farm_dir,
-                              "checks": checks}
+    report: Dict[str, Any] = {"farm_dir": farm_dir, "checks": checks}
     shared = _tiny(QueueSetup(kind="red", target_delay_s=us(100)))
     only_a = _tiny(QueueSetup(kind="droptail"))
     only_b = _tiny(QueueSetup(kind="marking", target_delay_s=us(100)))
@@ -166,13 +162,3 @@ def _wait_for_socket(client: FarmClient, timeout_s: float = 10.0) -> None:
                 raise
             time.sleep(0.05)
 
-
-def main() -> int:  # pragma: no cover - exercised via the CLI verb
-    report = run_smoke(progress=lambda m: print(f"  {m}", file=sys.stderr))
-    print(f"farm --smoke: {'OK' if report['ok'] else 'FAILED'} "
-          f"(wall time {report['wall_s']:.1f}s)")
-    for name, ok in report["checks"].items():
-        print(f"  {name:<28}: {'ok' if ok else 'FAILED'}")
-    if report.get("error"):
-        print(f"  error: {report['error']}", file=sys.stderr)
-    return 0 if report["ok"] else 1

@@ -14,7 +14,7 @@ threshold, a new flow shows up anywhere in the simulation, a congestion
 event (RTO / fast retransmit / ECE cut) fires, or any real packet
 arrives on one of its queues.
 
-Correctness contract (enforced by ``repro fluid --smoke`` and the armed
+Correctness contract (enforced by ``repro smoke fluid`` and the armed
 invariant checkers):
 
 * **ledger consistency** — the fluid path creates and absorbs no

@@ -273,9 +273,10 @@ class TestCheckVerb:
     def test_smoke_json_summary(self, tmp_path, capsys):
         import json
 
+        # `check --smoke` is the check smoke gate; --json names its
+        # manifest. The gate pins its fuzz count (10).
         path = tmp_path / "check.json"
-        rc = main(["check", "--smoke", "--fuzz", "2", "--quiet",
-                   "--json", str(path)])
+        rc = main(["check", "--smoke", "--quiet", "--json", str(path)])
         assert rc == 0
         capsys.readouterr()
         doc = json.loads(path.read_text())
@@ -283,8 +284,11 @@ class TestCheckVerb:
         assert doc["checkers"] == ["conservation", "queues", "tcp", "engine"]
         labels = {c["label"] for c in doc["cells"]}
         assert len(labels) == 5  # the CI subset
-        assert all(c["ok"] and c["identical"] for c in doc["cells"])
-        assert doc["fuzz"]["scenarios_run"] == 2
+        verdicts = {(c["name"], c["cell"]): c["ok"] for c in doc["checks"]}
+        assert all(verdicts["checkers_clean", c["name"]]
+                   and verdicts["identical_armed", c["name"]]
+                   for c in doc["cells"])
+        assert doc["fuzz"]["scenarios_run"] == 10
         assert doc["fuzz"]["ok"] is True
 
 

@@ -156,12 +156,16 @@ class TestMixCli:
         rc = main(["mix", "--smoke"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "plain identical" in out and "armed identical" in out
+        verdicts = [line.split()[:2] for line in out.splitlines()]
+        assert ["ok", "identical_rerun"] in verdicts
+        assert ["ok", "identical_armed"] in verdicts
         payload = json.loads((tmp_path / "mix_smoke_manifest.json").read_text())
-        assert set(payload["workloads"]) == {"shuffle", "rpc", "background"}
-        assert payload["smoke"]["identical_plain_rerun"]
-        assert payload["smoke"]["identical_armed_rerun"]
-        assert payload["smoke"]["validation_ok"]
+        workloads = payload["cells"][0]["fingerprint"]["workloads"]
+        assert set(workloads) == {"shuffle", "rpc", "background"}
+        checks = {c["name"]: c["ok"] for c in payload["checks"]}
+        assert checks["identical_rerun"]
+        assert checks["identical_armed"]
+        assert checks["checkers_clean"]
 
     def test_mix_grid_cli_with_cache(self, tmp_path, capsys):
         from repro.cli import main
